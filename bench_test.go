@@ -583,13 +583,15 @@ func BenchmarkFullResolveChurn(b *testing.B) {
 // lookup, real batched inference, JSON response — on a multi-task
 // deployment whose tasks all resolve to one shared path, so every request
 // funnels into a single model's batching queue. The batch1 variant
-// serializes one single-sample forward per request; batch8 aggregates
-// concurrent requests per ForwardBatch call, whose batched convolutions
+// serializes one single-sample forward per request; batch8 runs up to
+// eight queued requests per ForwardBatch call, whose batched convolutions
 // shard across the tensor worker pool (conv2DInto parallelizes the batch
-// dimension only for n > 1). The ratio is therefore the batching win on
-// the serving hot path: ≥2× wherever GOMAXPROCS > 1; on a single-core
-// host the two converge, since every forward is strictly serial there.
-// The avgbatch metric confirms the batch8 queue actually fills.
+// dimension only for n > 1). The ratio is the batching win on the
+// serving hot path. On a 2-vCPU Xeon (GOMAXPROCS 2, Go 1.24;
+// -benchtime 2s -count 5) batch8 took 103–113 µs/op (median 104) and
+// batch1 95–108 µs/op (median 101): at this model size per-request HTTP
+// and JSON work dominates and batching does not pay. The avgbatch metric
+// confirms the batch8 queue actually fills (7.95–8.0 here).
 func BenchmarkOffloadServe(b *testing.B) {
 	const nTasks = 4
 	// A two-block catalog every task's only path runs through. Costs are
@@ -637,10 +639,9 @@ func BenchmarkOffloadServe(b *testing.B) {
 	for _, batch := range []int{1, 8} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
 			be, err := exec.NewReal(exec.RealConfig{
-				Model:       model,
-				Input:       [3]int{3, 8, 8},
-				BatchSize:   batch,
-				BatchWindow: 2 * time.Millisecond,
+				Model:     model,
+				Input:     [3]int{3, 8, 8},
+				BatchSize: batch,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -672,8 +673,8 @@ func BenchmarkOffloadServe(b *testing.B) {
 
 			var next atomic.Int64
 			// Keep well over BatchSize requests in flight even at
-			// GOMAXPROCS=1, so batches fill instead of stalling on the
-			// window timer.
+			// GOMAXPROCS=1, so requests queue during each forward pass
+			// and the next batch fills.
 			b.SetParallelism(4 * batch)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -25,9 +25,11 @@
 // By default offloads answer from the planning cost model (simulated
 // backend). -backend real assembles tensor-backed models per deployed
 // path — shared blocks instantiated once — and batches admitted inputs
-// through them:
+// through them. Batching is work-conserving: an idle model runs whatever
+// is queued at once, up to -batch-size, and requests arriving during a
+// forward pass form the next batch:
 //
-//	edgeserve -backend real -batch-size 8 -batch-window 2ms -model-width 8 -input 8x8
+//	edgeserve -backend real -batch-size 8 -model-width 8 -input 8x8
 //
 // -precision adds quantized ("@f32"/"@i8") block variants to the catalog
 // as cheaper solver-priced options; with the real backend the chosen
@@ -105,8 +107,7 @@ func run() int {
 	precisionList := flag.String("precision", "f64", "comma-separated kernel-precision tiers the catalog offers: f64, f32, i8 (e.g. f64,i8; plain i8 quantizes every path)")
 	backendKind := flag.String("backend", "sim", "execution backend: sim (cost model) | real (tensor models)")
 	batchSize := flag.Int("batch-size", 8, "real backend: max requests per inference batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "real backend: max wait for a partial batch")
-	sched := flag.String("sched", "edf", "real backend: batching queue intake order: edf (deadline-aware) | fifo (fixed-window baseline)")
+	sched := flag.String("sched", "edf", "real backend: batching queue intake order: edf (deadline-aware) | fifo (arrival-order baseline)")
 	queueDepth := flag.Int("queue-depth", 0, "real backend: per-model intake queue bound before backpressure sheds the latest-deadline waiter (0 = 16x batch size, negative = unbounded)")
 	overloadWindow := flag.Duration("overload-window", 5*time.Second, "sliding window over backend sheds driving the overload health signal")
 	overloadAfter := flag.Int("overload-after", 10, "sheds inside the overload window before /healthz degrades (negative disables)")
@@ -195,23 +196,22 @@ func run() int {
 		model := dnn.DefaultResNetConfig()
 		model.BaseWidth = *modelWidth
 		be, err := exec.NewReal(exec.RealConfig{
-			Model:       model,
-			Input:       [3]int{model.InChannels, h, w},
-			BatchSize:   *batchSize,
-			BatchWindow: *batchWindow,
-			QuantGate:   *quantGate,
-			Sched:       pol,
-			QueueDepth:  *queueDepth,
-			Faults:      faults,
-			Logf:        log.Printf,
+			Model:      model,
+			Input:      [3]int{model.InChannels, h, w},
+			BatchSize:  *batchSize,
+			QuantGate:  *quantGate,
+			Sched:      pol,
+			QueueDepth: *queueDepth,
+			Faults:     faults,
+			Logf:       log.Printf,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "edgeserve:", err)
 			return 2
 		}
 		backend = be
-		log.Printf("edgeserve: real backend (width=%d, input=3x%dx%d, batch=%d/%v, sched=%s)",
-			*modelWidth, h, w, *batchSize, *batchWindow, pol)
+		log.Printf("edgeserve: real backend (width=%d, input=3x%dx%d, batch=%d, sched=%s)",
+			*modelWidth, h, w, *batchSize, pol)
 	default:
 		fmt.Fprintf(os.Stderr, "edgeserve: unknown backend %q (want sim|real)\n", *backendKind)
 		return 2

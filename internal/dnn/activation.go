@@ -26,6 +26,30 @@ const activationMagic = "ODNNACT1"
 // maxActivationManifest bounds the manifest a receiver will parse.
 const maxActivationManifest = 1 << 20
 
+// maxActivationElems bounds the element count of one activation frame
+// (32 MiB of float64). A paper-sized boundary activation, 64×112×112
+// after a 3×224×224 stem, is under a fortieth of it. The decoder sizes
+// its payload buffer from the manifest, so the cap applies before any
+// allocation.
+const maxActivationElems = 1 << 22
+
+// activationElems validates an activation shape and returns its element
+// count: every dimension must be positive and the product must not
+// exceed maxActivationElems, checked per factor so it cannot overflow.
+func activationElems(shape [3]int) (int, error) {
+	elems := 1
+	for _, d := range shape {
+		if d <= 0 {
+			return 0, fmt.Errorf("non-positive dimension in shape %v", shape)
+		}
+		if elems > maxActivationElems/d {
+			return 0, fmt.Errorf("shape %v exceeds the %d-element cap", shape, maxActivationElems)
+		}
+		elems *= d
+	}
+	return elems, nil
+}
+
 // ActivationHop is one completed hop's accounting, accumulated in the
 // envelope as the activation travels so the tail node can report the
 // full per-hop breakdown to the client.
@@ -61,7 +85,11 @@ type ActivationManifest struct {
 // EncodeActivation writes one frame's boundary activation as an
 // envelope.
 func EncodeActivation(w io.Writer, man ActivationManifest, data []float64) error {
-	if n := man.Shape[0] * man.Shape[1] * man.Shape[2]; n != len(data) {
+	n, err := activationElems(man.Shape)
+	if err != nil {
+		return fmt.Errorf("dnn: activation encode: %w", err)
+	}
+	if n != len(data) {
 		return fmt.Errorf("dnn: activation encode: shape %v wants %d elems, have %d", man.Shape, n, len(data))
 	}
 	manJSON, err := json.Marshal(man)
@@ -85,8 +113,9 @@ func EncodeActivation(w io.Writer, man ActivationManifest, data []float64) error
 	return nil
 }
 
-// DecodeActivation reads one envelope, validating the magic and that
-// the payload matches the manifest's shape.
+// DecodeActivation reads one envelope, validating the magic, the
+// manifest's shape (positive dimensions, at most maxActivationElems
+// elements) and that the payload matches it.
 func DecodeActivation(r io.Reader) (ActivationManifest, []float64, error) {
 	var man ActivationManifest
 	header := make([]byte, len(activationMagic)+4)
@@ -107,9 +136,9 @@ func DecodeActivation(r io.Reader) (ActivationManifest, []float64, error) {
 	if err := json.Unmarshal(manJSON, &man); err != nil {
 		return man, nil, fmt.Errorf("dnn: activation decode: manifest: %w", err)
 	}
-	elems := man.Shape[0] * man.Shape[1] * man.Shape[2]
-	if elems <= 0 {
-		return man, nil, fmt.Errorf("dnn: activation decode: degenerate shape %v", man.Shape)
+	elems, err := activationElems(man.Shape)
+	if err != nil {
+		return man, nil, fmt.Errorf("dnn: activation decode: %w", err)
 	}
 	raw := make([]byte, elems*8)
 	if _, err := io.ReadFull(r, raw); err != nil {

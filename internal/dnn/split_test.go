@@ -2,7 +2,11 @@ package dnn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"offloadnn/internal/tensor"
@@ -136,5 +140,58 @@ func TestActivationEnvelopeRejectsGarbage(t *testing.T) {
 	}
 	if err := EncodeActivation(&buf, man, make([]float64, 3)); err == nil {
 		t.Fatal("shape/payload mismatch accepted")
+	}
+}
+
+// hostileEnvelope frames a manifest with an arbitrary shape and a short
+// payload, as a peer that skips EncodeActivation's checks could send.
+func hostileEnvelope(t *testing.T, shape [3]int) []byte {
+	t.Helper()
+	manJSON, err := json.Marshal(ActivationManifest{Task: "t", Path: "p", Shape: shape})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(activationMagic)
+	var lenBuf [4]byte
+	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(manJSON)))
+	buf.Write(lenBuf[:])
+	buf.Write(manJSON)
+	buf.Write(make([]byte, 16)) // two float64s: enough for a product-2 shape
+	return buf.Bytes()
+}
+
+// TestDecodeActivationRejectsHostileShapes pins the shape guards: a
+// manifest with a non-positive dimension (even one whose product is
+// positive) or an element count past the cap is refused before the
+// payload buffer is allocated, instead of decoding or panicking.
+func TestDecodeActivationRejectsHostileShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shape [3]int
+		want  string
+	}{
+		{"negative pair, positive product", [3]int{-1, -1, 2}, "non-positive"},
+		{"zero dimension", [3]int{4, 0, 4}, "non-positive"},
+		{"single negative", [3]int{2, 2, -1}, "non-positive"},
+		{"over cap", [3]int{maxActivationElems, 2, 1}, "cap"},
+		{"product overflows int", [3]int{1 << 31, 1 << 31, 1 << 31}, "cap"},
+		{"max int", [3]int{math.MaxInt, math.MaxInt, 1}, "cap"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := DecodeActivation(bytes.NewReader(hostileEnvelope(t, tc.shape)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("shape %v: err = %v, want one naming %q", tc.shape, err, tc.want)
+			}
+			if err := EncodeActivation(&bytes.Buffer{}, ActivationManifest{Shape: tc.shape}, make([]float64, 2)); err == nil {
+				t.Fatalf("shape %v: encode accepted it", tc.shape)
+			}
+		})
+	}
+	// A shape exactly at the cap passes the shape guard: it fails only on
+	// the short payload.
+	_, _, err := DecodeActivation(bytes.NewReader(hostileEnvelope(t, [3]int{maxActivationElems, 1, 1})))
+	if err == nil || !strings.Contains(err.Error(), "payload") {
+		t.Fatalf("at-cap shape: err = %v, want a payload read error", err)
 	}
 }

@@ -9,11 +9,12 @@
 //     (refcounted across paths and epochs — the operational form of the
 //     paper's constraint (1b) memory sharing) and running admitted
 //     requests through per-model batching queues that feed
-//     dnn.Model.ForwardBatch. The queues are deadline-aware: intake is
-//     earliest-deadline-first, the batch window adapts to the tightest
-//     pending slack, already-late requests are shed before they enter a
-//     batch, and a bounded queue depth sheds the latest-deadline waiter
-//     under overload.
+//     dnn.Model.ForwardBatch. Dispatch is work-conserving: an idle
+//     executor runs whatever is queued at once, up to the batch size.
+//     The queues are deadline-aware: intake is earliest-deadline-first,
+//     already-late requests are shed before they enter a batch, and a
+//     bounded queue depth sheds the latest-deadline waiter under
+//     overload.
 //
 //   - Simulated answers with the deployment's planned cost model
 //     (edge.PlanCosts — the same arithmetic the Fig. 11 emulator and
@@ -204,10 +205,6 @@ type Stats struct {
 	// no deadline-carrying waiters are absent. Nil for backends without
 	// batching queues.
 	QueueSlack map[string]time.Duration
-	// LastWindow is the batch window most recently applied by an
-	// adaptive-window executor: BatchWindow when slack is plentiful,
-	// shrunk toward zero under deadline pressure.
-	LastWindow time.Duration
 	// QuantFallbacks counts reduced-precision paths the install-time
 	// accuracy gate demoted a tier (i8→f32 or f32→f64). Each demotion
 	// step of each gated path counts once.

@@ -29,14 +29,22 @@ func dlModel() dnn.ResNetConfig {
 }
 
 // dlPlan is the single-path plan the deadline tests run against: one
-// task, one block, batching queue keyed by "base/s1".
-func dlPlan(epoch uint64) *Plan {
+// task "t1" on the given blocks (default "base/s1"), so one batching
+// queue.
+func dlPlan(epoch uint64, blocks ...string) *Plan {
+	if len(blocks) == 0 {
+		blocks = []string{"base/s1"}
+	}
 	task := core.Task{ID: "t1", Rate: 10, MaxLatency: time.Second, InputBits: 1e5, Priority: 0.5}
-	p := &core.PathSpec{ID: "p-t1", DNN: "d", Blocks: []string{"base/s1"}, Accuracy: 0.9}
+	p := &core.PathSpec{ID: "p-t1", DNN: "d", Blocks: blocks, Accuracy: 0.9}
+	specs := make(map[string]core.BlockSpec, len(blocks))
+	for _, b := range blocks {
+		specs[b] = core.BlockSpec{ID: b, ComputeSeconds: 0.01}
+	}
 	return &Plan{
 		Epoch:  epoch,
 		Tasks:  []core.Task{task},
-		Blocks: map[string]core.BlockSpec{"base/s1": {ID: "base/s1", ComputeSeconds: 0.01}},
+		Blocks: specs,
 		Res: core.Resources{
 			RBs: 10, ComputeSeconds: 1, MemoryGB: 10, TrainBudgetSeconds: 1000,
 			Capacity: radio.FixedRate{Rate: 1e6},
@@ -209,15 +217,7 @@ func TestLateRequestShedBeforeBatch(t *testing.T) {
 // everything queued is shed itself.
 func TestBoundedQueueShedsLatestDeadline(t *testing.T) {
 	r := dlReal(t, RealConfig{BatchSize: 1, QueueDepth: 2})
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	r.batchHook = func(int) {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-gate
-	}
+	hold := holdFirstBatch(r)
 	if err := r.Install(dlPlan(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -231,19 +231,16 @@ func TestBoundedQueueShedsLatestDeadline(t *testing.T) {
 		}()
 		return ch
 	}
-	depth := func(n int) func() bool {
-		return func() bool { return r.Stats().QueueDepth == n }
-	}
 
 	// The blocker occupies the executor: once its batch signals entry it
 	// is parked on the gate and everything after it piles into the queue.
 	blocker := infer(time.Time{})
-	<-entered
+	<-hold.entered
 
 	w1 := infer(now.Add(time.Hour))
-	waitUntil(t, "w1 queued", depth(1))
+	waitUntil(t, "w1 queued", queueDepth(r, 1))
 	w2 := infer(now.Add(2 * time.Hour))
-	waitUntil(t, "queue full", depth(2))
+	waitUntil(t, "queue full", queueDepth(r, 2))
 
 	// w3 is more urgent than w2: w2 — the latest-deadline waiter, not the
 	// newest arrival — is evicted.
@@ -258,7 +255,7 @@ func TestBoundedQueueShedsLatestDeadline(t *testing.T) {
 		t.Fatalf("least-urgent arrival: err = %v, want ErrQueueFull", err)
 	}
 
-	close(gate)
+	hold.release()
 	for name, ch := range map[string]chan error{"blocker": blocker, "w1": w1, "w3": w3} {
 		if err := <-ch; err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -278,17 +275,7 @@ func TestBoundedQueueShedsLatestDeadline(t *testing.T) {
 // never enters a batch, and both count under ShedCanceled.
 func TestCanceledRequestsCounted(t *testing.T) {
 	r := dlReal(t, RealConfig{BatchSize: 1, QueueDepth: -1})
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	var batches atomic.Int64
-	r.batchHook = func(int) {
-		batches.Add(1)
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-gate
-	}
+	hold := holdFirstBatch(r)
 	if err := r.Install(dlPlan(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +287,7 @@ func TestCanceledRequestsCounted(t *testing.T) {
 		_, err := r.Infer(actx, Request{TaskID: "t1", Input: in})
 		aErr <- err
 	}()
-	<-entered // A is mid-batch, parked on the gate
+	<-hold.entered // A is mid-batch, parked on the gate
 
 	bctx, bcancel := context.WithCancel(context.Background())
 	bErr := make(chan error, 1)
@@ -308,18 +295,18 @@ func TestCanceledRequestsCounted(t *testing.T) {
 		_, err := r.Infer(bctx, Request{TaskID: "t1", Input: in})
 		bErr <- err
 	}()
-	waitUntil(t, "B queued", func() bool { return r.Stats().QueueDepth == 1 })
+	waitUntil(t, "B queued", queueDepth(r, 1))
 
 	acancel()
 	bcancel()
-	close(gate)
+	hold.release()
 	for name, ch := range map[string]chan error{"A": aErr, "B": bErr} {
 		if err := <-ch; !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}
 	waitUntil(t, "canceled sheds counted", func() bool { return r.Stats().ShedCanceled == 2 })
-	if n := batches.Load(); n != 1 {
+	if n := len(hold.seen()); n != 1 {
 		t.Fatalf("%d batches ran, want 1: the canceled waiter must not enter a batch", n)
 	}
 	if st := r.Stats(); st.Requests != 1 {
@@ -330,7 +317,7 @@ func TestCanceledRequestsCounted(t *testing.T) {
 // TestEDFBeatsFIFOOnSameSeededBurst is the acceptance pin: on one
 // adversarial burst — arrivals in reverse deadline order, served by a
 // single executor with a fixed per-batch cost — EDF intake achieves a
-// strictly higher deadline-hit-rate than the FIFO/fixed-window baseline
+// strictly higher deadline-hit-rate than the FIFO baseline
 // at the same offered load.
 func TestEDFBeatsFIFOOnSameSeededBurst(t *testing.T) {
 	const (
@@ -370,7 +357,7 @@ func TestEDFBeatsFIFOOnSameSeededBurst(t *testing.T) {
 		base := time.Now()
 		for i, k := 0, n; k >= 1; i, k = i+1, k-1 {
 			infer(base.Add(time.Duration(k+1)*cost + 3*cost/2))
-			waitUntil(t, "burst queued", func() bool { return r.Stats().QueueDepth == i+1 })
+			waitUntil(t, "burst queued", queueDepth(r, i+1))
 		}
 		close(start)
 		for i := 0; i < n+1; i++ {

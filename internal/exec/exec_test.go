@@ -3,8 +3,6 @@ package exec_test
 import (
 	"context"
 	"errors"
-	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -183,59 +181,6 @@ func TestEmptyPlanReleasesEverything(t *testing.T) {
 	}
 	if st := r.Stats(); st.Models != 0 || st.Blocks != 0 {
 		t.Fatalf("stats after empty plan = %+v, want all zero", st)
-	}
-}
-
-// Batched execution must be observable and deterministic: concurrent
-// requests with one input land in shared batches and every copy of the
-// input produces identical logits.
-func TestBatchingDeterministic(t *testing.T) {
-	r := newReal(t, exec.RealConfig{BatchSize: 4, BatchWindow: 20 * time.Millisecond})
-	if err := r.Install(planFor(1, map[string][]string{"t1": {"base/s1", "base/s2"}})); err != nil {
-		t.Fatal(err)
-	}
-	in := input(r)
-	const n = 8
-	outs := make([]exec.Output, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, err := r.Infer(context.Background(), exec.Request{TaskID: "t1", Input: in})
-			if err != nil {
-				t.Errorf("infer %d: %v", i, err)
-				return
-			}
-			outs[i] = out
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	maxBatch := 0
-	for i, out := range outs {
-		if out.BatchSize > maxBatch {
-			maxBatch = out.BatchSize
-		}
-		for j, v := range out.Logits {
-			if math.IsNaN(v) {
-				t.Fatalf("output %d logit %d is NaN", i, j)
-			}
-			if v != outs[0].Logits[j] {
-				t.Fatalf("same input diverged: out[%d]=%v out[0]=%v", i, out.Logits, outs[0].Logits)
-			}
-		}
-		if out.Latency <= 0 {
-			t.Fatalf("output %d has non-positive measured latency", i)
-		}
-		if out.Simulated {
-			t.Fatalf("real backend marked output %d simulated", i)
-		}
-	}
-	if maxBatch < 2 {
-		t.Fatalf("8 concurrent requests never batched (max batch %d)", maxBatch)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"offloadnn/internal/dnn"
 	"offloadnn/internal/edge"
@@ -217,41 +216,5 @@ func TestQuantizedWarmSwapKeepsInstance(t *testing.T) {
 	// Both paths share the one instance.
 	if refs := r.BlockRefs()["base/s1@i8"]; refs != 2 {
 		t.Fatalf("refs %d, want 2", refs)
-	}
-}
-
-func TestQuantizedBatchingDeterministic(t *testing.T) {
-	r := newReal(t, exec.RealConfig{BatchSize: 4, BatchWindow: 20 * time.Millisecond, QuantGate: -1})
-	if err := r.Install(planFor(1, map[string][]string{"t1": {"base/s1@i8"}})); err != nil {
-		t.Fatal(err)
-	}
-	in := input(r)
-	solo, err := r.Infer(context.Background(), exec.Request{TaskID: "t1", Input: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A batched run of the same input must produce identical logits for
-	// every member (per-image dynamic quantization is batch-invariant).
-	type res struct {
-		out exec.Output
-		err error
-	}
-	results := make(chan res, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			out, err := r.Infer(context.Background(), exec.Request{TaskID: "t1", Input: in})
-			results <- res{out, err}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		got := <-results
-		if got.err != nil {
-			t.Fatal(got.err)
-		}
-		for j := range solo.Logits {
-			if got.out.Logits[j] != solo.Logits[j] {
-				t.Fatalf("batched logit %d differs from solo run", j)
-			}
-		}
 	}
 }

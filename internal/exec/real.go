@@ -20,17 +20,15 @@ import (
 type SchedPolicy int
 
 const (
-	// SchedEDF (the default) pops waiters earliest-deadline-first,
+	// SchedEDF (the default) pops waiters earliest-deadline-first and
 	// sheds requests that are already past deadline before they enter a
-	// batch, and shrinks the batch window under deadline pressure.
-	// Requests without deadlines sort after every deadline-carrying
-	// waiter, in arrival order — with no deadlines set anywhere, EDF
-	// intake is bit-identical to FIFO.
+	// batch. Requests without deadlines sort after every
+	// deadline-carrying waiter, in arrival order — with no deadlines set
+	// anywhere, EDF intake is bit-identical to FIFO.
 	SchedEDF SchedPolicy = iota
-	// SchedFIFO is the pre-deadline baseline: strict arrival order, a
-	// fixed BatchWindow, and no lateness shedding. Kept selectable so the
-	// deadline-hit-rate win of EDF is measurable against it on the same
-	// offered load.
+	// SchedFIFO is the pre-deadline baseline: strict arrival order and
+	// no lateness shedding. Kept selectable so the deadline-hit-rate win
+	// of EDF is measurable against it on the same offered load.
 	SchedFIFO
 )
 
@@ -62,11 +60,9 @@ type RealConfig struct {
 	// (Model.InChannels, 8, 8).
 	Input [3]int
 	// BatchSize bounds how many admitted requests one ForwardBatch call
-	// serves (default 8; 1 disables batching).
+	// serves (default 8; 1 disables batching). The executor never waits
+	// to fill a batch: it runs whatever is queued, up to BatchSize.
 	BatchSize int
-	// BatchWindow bounds how long a partially filled batch waits for
-	// more requests before executing (default 2 ms).
-	BatchWindow time.Duration
 	// Repo optionally supplies trained weights: a block whose mangled ID
 	// ('/' → '_') names a stored one-block model starts from those
 	// weights instead of the seeded initialization. Binary weight
@@ -83,7 +79,7 @@ type RealConfig struct {
 	CalibBatch int
 	// Sched selects the batching queue's intake order: SchedEDF (the
 	// zero value) for deadline-aware serving, SchedFIFO for the
-	// fixed-window baseline.
+	// arrival-order baseline.
 	Sched SchedPolicy
 	// QueueDepth bounds how many requests may wait in one model's intake
 	// queue before backpressure sheds the latest-deadline waiter
@@ -191,11 +187,6 @@ type modelEntry struct {
 	qclosed bool
 	seq     uint64
 	avail   chan struct{}
-
-	// execEWMA tracks the entry's smoothed ForwardBatch duration (ns) —
-	// the execution-cost estimate the adaptive batch window subtracts
-	// from the tightest pending slack.
-	execEWMA atomic.Int64
 }
 
 // Real is the tensor-backed execution backend. Install assembles one
@@ -225,7 +216,6 @@ type Real struct {
 	shedCanceled   atomic.Int64
 	deadlineHits   atomic.Int64
 	deadlineMisses atomic.Int64
-	lastWindow     atomic.Int64
 	wg             sync.WaitGroup
 
 	// closeCtx is canceled by Close; it bounds the exec.hang chaos point
@@ -256,9 +246,6 @@ func NewReal(cfg RealConfig) (*Real, error) {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 8
-	}
-	if cfg.BatchWindow <= 0 {
-		cfg.BatchWindow = 2 * time.Millisecond
 	}
 	if cfg.QuantGate == 0 {
 		cfg.QuantGate = 0.02
@@ -837,7 +824,7 @@ func (r *Real) pruneUnreferenced(map[string]*modelEntry) {
 // executes. Requests already past their deadline are shed before they
 // touch the queue (ErrLate); a full queue sheds its latest-deadline
 // waiter (ErrQueueFull). The measured latency spans enqueue to result —
-// queueing, batching wait and the forward pass.
+// queueing and the forward pass.
 func (r *Real) Infer(ctx context.Context, req Request) (Output, error) {
 	e := (*r.routes.Load())[routeKey(req.TaskID, req.FromStage)]
 	if e == nil {
@@ -990,39 +977,12 @@ func (r *Real) nextReq(e *modelEntry) *inferReq {
 	}
 }
 
-// windowFor is the adaptive batch window: the tightest pending deadline
-// slack minus the entry's smoothed execution cost, clamped to
-// [0, BatchWindow]. With no deadline-carrying waiters (or under FIFO)
-// the full BatchWindow applies — plentiful slack grows the batch, a
-// deadline about to expire collapses the wait to zero.
-func (r *Real) windowFor(e *modelEntry, first *inferReq) time.Duration {
-	w := r.cfg.BatchWindow
-	if r.cfg.Sched == SchedEDF {
-		minDL := first.deadline
-		e.qmu.Lock()
-		for _, q := range e.queue.items {
-			if q.deadline != 0 && (minDL == 0 || q.deadline < minDL) {
-				minDL = q.deadline
-			}
-		}
-		e.qmu.Unlock()
-		if minDL != 0 {
-			slack := time.Duration(minDL-time.Now().UnixNano()) - time.Duration(e.execEWMA.Load())
-			if slack < 0 {
-				slack = 0
-			}
-			if slack < w {
-				w = slack
-			}
-		}
-	}
-	r.lastWindow.Store(int64(w))
-	return w
-}
-
-// serveModel is one entry's batching executor: it collects up to
-// BatchSize requests in intake order (waiting at most the adaptive
-// window after the first) and runs them through one ForwardBatch call.
+// serveModel is one entry's batching executor. It is work-conserving:
+// it takes the most urgent waiter, adds whatever else is queued now (in
+// intake order, up to BatchSize) and runs the batch at once through one
+// ForwardBatch call. Requests that arrive during a forward pass queue up
+// and form the next batch, so batch size grows with load while an idle
+// executor never waits on a partial batch.
 func (r *Real) serveModel(e *modelEntry) {
 	defer r.wg.Done()
 	for {
@@ -1032,31 +992,12 @@ func (r *Real) serveModel(e *modelEntry) {
 			return
 		}
 		batch := []*inferReq{first}
-		if r.cfg.BatchSize > 1 {
-			var timer *time.Timer
-			if w := r.windowFor(e, first); w > 0 {
-				timer = time.NewTimer(w)
+		for len(batch) < r.cfg.BatchSize {
+			q := r.tryPop(e)
+			if q == nil {
+				break
 			}
-		fill:
-			for len(batch) < r.cfg.BatchSize {
-				if q := r.tryPop(e); q != nil {
-					batch = append(batch, q)
-					continue
-				}
-				if timer == nil {
-					break fill
-				}
-				select {
-				case <-e.avail:
-				case <-timer.C:
-					break fill
-				case <-e.done:
-					break fill
-				}
-			}
-			if timer != nil {
-				timer.Stop()
-			}
+			batch = append(batch, q)
 		}
 		r.runBatch(e, batch)
 	}
@@ -1097,15 +1038,8 @@ func (r *Real) runBatch(e *modelEntry, batch []*inferReq) {
 	for i, q := range batch {
 		copy(x.Data()[i*per:(i+1)*per], q.input)
 	}
-	fstart := time.Now()
 	y, err := e.model.ForwardBatch(x)
-	dur := int64(time.Since(fstart))
 	tensor.Release(x)
-	if old := e.execEWMA.Load(); old == 0 {
-		e.execEWMA.Store(dur)
-	} else {
-		e.execEWMA.Store((3*old + dur) / 4)
-	}
 	r.lastBatch.Store(int64(n))
 	r.batches.Add(1)
 	r.requests.Add(int64(n))
@@ -1185,7 +1119,6 @@ func (r *Real) Stats() Stats {
 		DeadlineHits:   r.deadlineHits.Load(),
 		DeadlineMisses: r.deadlineMisses.Load(),
 		QueueSlack:     slack,
-		LastWindow:     time.Duration(r.lastWindow.Load()),
 		QuantFallbacks: r.quantFallbacks.Load(),
 		WeightBytes:    weightBytes,
 		PathPrecisions: precisions,

@@ -29,7 +29,7 @@ func splitFrame(seed int) []float64 {
 // (the cluster invariant: every member runs the same template and gate).
 func newSplitBackend(t *testing.T) *Real {
 	t.Helper()
-	b, err := NewReal(RealConfig{BatchSize: 4, BatchWindow: 0})
+	b, err := NewReal(RealConfig{BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

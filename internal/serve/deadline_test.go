@@ -95,7 +95,6 @@ func TestOffloadDeadline504(t *testing.T) {
 		`offloadnn_shed_total{reason="late"} 1`,
 		`offloadnn_shed_total{reason="queue_full"} 0`,
 		"offloadnn_deadline_hit_ratio",
-		"offloadnn_batch_window_seconds",
 		"offloadnn_overload 0",
 	} {
 		if !strings.Contains(body, want) {

@@ -18,8 +18,7 @@ func newRealBackend(t *testing.T) *exec.Real {
 		Model: dnn.ResNetConfig{
 			InChannels: 3, NumClasses: 4, BaseWidth: 4, StageBlocks: [4]int{1, 1, 1, 1}, Seed: 9,
 		},
-		BatchSize:   4,
-		BatchWindow: time.Millisecond,
+		BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
